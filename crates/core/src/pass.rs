@@ -1637,6 +1637,11 @@ impl Provider for Snapshot {
         self.state.records.get(&id).cloned()
     }
 
+    fn created_key(&self, idx: NodeIdx) -> Option<(Timestamp, TupleSetId)> {
+        let id = self.state.graph.resolve(idx)?;
+        self.state.records.get(&id).map(|r| (r.created_at, id))
+    }
+
     fn created_scan(&self, desc: bool) -> Option<std::sync::Arc<[NodeIdx]>> {
         Some(self.state.created_scan(desc))
     }
@@ -1656,53 +1661,5 @@ impl QueryEngine for Snapshot {
 impl QueryEngine for Pass {
     fn open(&self, prepared: &PreparedQuery) -> pass_query::Result<Cursor<'_>> {
         Cursor::over_owned(Box::new(self.snapshot()), prepared)
-    }
-}
-
-/// `Pass` remains a [`Provider`] for compatibility: each call answers
-/// from the currently-published state. Multi-call consistency is only
-/// guaranteed via [`Pass::snapshot`].
-impl Provider for Pass {
-    fn eq_lookup(&self, attr: &str, value: &Value) -> PostingList {
-        self.state.read().attrs.eq(attr, value)
-    }
-
-    fn range_lookup(&self, attr: &str, low: Bound<&Value>, high: Bound<&Value>) -> PostingList {
-        self.state.read().attrs.range(attr, low, high)
-    }
-
-    fn time_overlap(&self, range: TimeRange) -> PostingList {
-        self.state.read().time.overlapping(range)
-    }
-
-    fn keyword_lookup(&self, phrase: &str) -> PostingList {
-        self.state.read().keywords.lookup_all(phrase)
-    }
-
-    fn has_attr(&self, attr: &str) -> PostingList {
-        self.state.read().attrs.has_attr(attr)
-    }
-
-    fn all_nodes(&self) -> PostingList {
-        let state = self.state.read();
-        PostingList::from_iter(state.records.keys().filter_map(|id| state.graph.lookup(*id)))
-    }
-
-    fn lineage(&self, clause: &LineageClause) -> Option<PostingList> {
-        self.snapshot().lineage_posting(clause)
-    }
-
-    fn node_of(&self, id: TupleSetId) -> Option<NodeIdx> {
-        self.state.read().graph.lookup(id)
-    }
-
-    fn fetch(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
-        let state = self.state.read();
-        let id = state.graph.resolve(idx)?;
-        state.records.get(&id).cloned()
-    }
-
-    fn created_scan(&self, desc: bool) -> Option<std::sync::Arc<[NodeIdx]>> {
-        Some(self.state.read().created_scan(desc))
     }
 }

@@ -191,6 +191,22 @@ mod tests {
     }
 
     #[test]
+    fn has_attr_over_many_values_is_sorted_and_deduplicated() {
+        let mut ix = AttrIndex::new();
+        let mut want = Vec::new();
+        // 3 000 distinct values; nodes out of order, some carrying the
+        // attribute under several values.
+        for v in 0..3_000i64 {
+            let node = ((v * 7_919) % 2_000) as NodeIdx;
+            ix.insert(node, "k", Value::Int(v));
+            want.push(node);
+        }
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(ix.has_attr("k").as_slice(), want.as_slice());
+    }
+
+    #[test]
     fn selectivity_stats() {
         let ix = sample();
         assert_eq!(ix.distinct_values("domain"), 3);

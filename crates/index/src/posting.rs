@@ -146,13 +146,18 @@ impl PostingList {
         acc
     }
 
-    /// Unions many lists.
+    /// Unions many lists in one pass: concatenate, sort, dedup. The
+    /// stable sort finds the sorted input runs and merges them, so this
+    /// stays near-linear in the total postings where a pairwise fold
+    /// costs O(lists × postings) (a range over 4 000 distinct values).
     pub fn union_all(lists: Vec<&PostingList>) -> PostingList {
-        let mut acc = PostingList::new();
+        let mut items = Vec::with_capacity(lists.iter().map(|l| l.len()).sum());
         for l in lists {
-            acc = acc.union(l);
+            items.extend_from_slice(&l.items);
         }
-        acc
+        items.sort();
+        items.dedup();
+        PostingList { items }
     }
 
     /// Merges a sorted (ascending, possibly duplicated) run of indexes in

@@ -11,6 +11,20 @@ fn arb_list() -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(0u32..200, 0..60)
 }
 
+/// Singleton-list counts for [`arb_lists`]; smaller under Miri, where the
+/// quadratic reference fold would dominate the run.
+const SINGLETONS: std::ops::Range<usize> = if cfg!(miri) { 100..300 } else { 1_000..4_000 };
+
+/// Lists to union: random (overlapping over a small domain), empty, or
+/// thousands of singletons — the shape a wide range lookup produces.
+fn arb_lists() -> impl Strategy<Value = Vec<Vec<u32>>> {
+    prop_oneof![
+        proptest::collection::vec(prop_oneof![Just(Vec::new()), arb_list()], 0..12),
+        proptest::collection::vec(0u32..5_000, SINGLETONS)
+            .prop_map(|vs| vs.into_iter().map(|v| vec![v]).collect()),
+    ]
+}
+
 /// A random DAG: each node links to a random subset of lower-numbered
 /// nodes (guarantees acyclicity), with some edges marked abstracted.
 fn arb_dag() -> impl Strategy<Value = Vec<Vec<(usize, bool)>>> {
@@ -63,6 +77,15 @@ proptest! {
         let diff: Vec<u32> = sa.difference(&sb).copied().collect();
         let got_diff = pa.difference(&pb);
         prop_assert_eq!(got_diff.as_slice(), diff.as_slice());
+    }
+
+    #[test]
+    fn union_all_equals_pairwise_fold(lists in arb_lists()) {
+        let lists: Vec<PostingList> =
+            lists.iter().map(|l| PostingList::from_iter(l.iter().copied())).collect();
+        let fold = lists.iter().fold(PostingList::new(), |acc, l| acc.union(l));
+        let got = PostingList::union_all(lists.iter().collect());
+        prop_assert_eq!(got.as_slice(), fold.as_slice());
     }
 
     #[test]

@@ -18,13 +18,23 @@
 //! they are cheap id arrays, not records. Everything per-record is lazy:
 //! the leapfrog intersection across posting lists advances one candidate
 //! per pull, records are fetched and residual-checked one at a time, and
-//! the cursor stops pulling the moment the limit is satisfied. Lineage
-//! closures are likewise computed as id sets at open (the closure is
+//! the cursor stops pulling the moment the limit is satisfied.
+//!
+//! Lineage closures are computed as id sets at open (the closure is
 //! needed in full to intersect correctly); only their record fetches
-//! stream. `ORDER BY` is pushed into the plan when the provider can
-//! serve a creation-time-ordered scan ([`Provider::created_scan`]) and
-//! the candidate source is the whole store; selective sources fall back
-//! to fetch-sort-emit, which buffers on the first pull.
+//! stream. A lineage scope with no filter, or with a filter no index
+//! serves, takes its candidates from the closure alone, never from the
+//! whole store, so `ANCESTORS OF x` costs work proportional to the
+//! closure.
+//!
+//! `ORDER BY` over the whole store is pushed into the plan when the
+//! provider can serve a creation-time-ordered scan
+//! ([`Provider::created_scan`]); the `AFTER` seek into it is a binary
+//! search on [`Provider::created_key`]. `ORDER BY` over a selective
+//! source sorts the candidates' keys (`created_key`), not their records,
+//! at open; records are then fetched in that order and only as far as
+//! the `LIMIT` cut reaches, so a "latest 20 of a sensor" page fetches
+//! ~20 records.
 
 use crate::ast::{LineageClause, OrderBy, Predicate, Query};
 use crate::error::{QueryError, Result};
@@ -56,17 +66,29 @@ pub trait Provider {
     fn node_of(&self, id: pass_model::TupleSetId) -> Option<NodeIdx>;
     /// Fetches the record behind a dense index.
     fn fetch(&self, idx: NodeIdx) -> Option<ProvenanceRecord>;
+    /// The `ORDER BY` sort key of the record behind a dense index: its
+    /// `(created_at, id)`, or `None` when [`Provider::fetch`] would
+    /// return `None`. It must agree with the record `fetch` returns and
+    /// with the order of [`Provider::created_scan`] (build that with
+    /// [`created_order_scan`] from the same pairs): the executor sorts
+    /// selective `ORDER BY` sources on these keys and seeks `AFTER`
+    /// tokens in the created scan with them. The default goes through
+    /// `fetch`; stores that can read the key without copying the record
+    /// should override it.
+    fn created_key(&self, idx: NodeIdx) -> Option<(Timestamp, TupleSetId)> {
+        self.fetch(idx).map(|r| (r.created_at, r.id))
+    }
     /// Every record's dense index in creation-time order (ties broken by
     /// tuple set id, both ascending for `desc = false`, creation time
     /// descending with ids still ascending within a tie for
     /// `desc = true`). `None` when the provider cannot serve ordered
-    /// scans; the cursor then falls back to fetch-and-sort. This is the
-    /// `ORDER BY` pushdown hook: a "latest N" query over a store that
-    /// implements it fetches N records, not all of them. Build the
-    /// ordering with [`created_order_scan`] so it always matches the
-    /// executor's sort fallback, and return a cached `Arc` when the
-    /// store is immutable between commits — cursors share it without
-    /// copying.
+    /// scans; the cursor then sorts the candidates' keys instead. This
+    /// is the `ORDER BY` pushdown hook for unfiltered queries: a "latest
+    /// N" query over a store that implements it fetches N records, not
+    /// all of them. Build the ordering with [`created_order_scan`] so it
+    /// always matches [`Provider::created_key`], and return a cached
+    /// `Arc` when the store is immutable between commits — cursors share
+    /// it without copying.
     fn created_scan(&self, desc: bool) -> Option<Arc<[NodeIdx]>> {
         let _ = desc;
         None
@@ -77,16 +99,21 @@ pub trait Provider {
 /// `(created_at, id, dense index)` triples: creation time then id, ids
 /// ascending within a tie even when `desc` reverses the time order.
 /// Providers implement `created_scan` with this one function so their
-/// order can never diverge from the executor's sort fallback (which
-/// sorts records by the same key).
+/// order can never diverge from the executor's key sort (which sorts
+/// [`Provider::created_key`]s by the same key).
 pub fn created_order_scan(
     mut entries: Vec<(Timestamp, TupleSetId, NodeIdx)>,
     desc: bool,
 ) -> Arc<[NodeIdx]> {
-    entries.sort_unstable_by_key(|(t, id, _)| {
-        (if desc { -i128::from(t.0) } else { i128::from(t.0) }, *id)
-    });
+    entries.sort_unstable_by_key(|&(t, id, _)| order_key((t, id), desc));
     entries.into_iter().map(|(_, _, idx)| idx).collect()
+}
+
+/// Ordering key of a [`Provider::created_key`]: creation time, ties by
+/// id; `desc` reverses creation time but keeps ids ascending.
+fn order_key((t, id): (Timestamp, TupleSetId), desc: bool) -> (i128, TupleSetId) {
+    let t = i128::from(t.0);
+    (if desc { -t } else { t }, id)
 }
 
 /// Execution counters, surfaced from the cursor and returned with every
@@ -254,7 +281,7 @@ fn gallop_to(sorted: &[NodeIdx], from: usize, x: NodeIdx) -> usize {
 /// A lazily-consumed candidate source.
 enum CandidateStream {
     /// One id list, consumed front to back. Covers single lookups,
-    /// scans, and eagerly-unioned `OR`s.
+    /// scans, eagerly-unioned `OR`s, and key-sorted `ORDER BY` sources.
     List { items: Vec<NodeIdx>, pos: usize },
     /// A shared, pre-ordered id list (the provider's cached created
     /// scan) — same consumption, no copy.
@@ -332,23 +359,6 @@ impl CandidateStream {
     }
 }
 
-/// Per-record ordering key reproducing the classic sort: creation time,
-/// ties by id; `desc` reverses creation time but keeps ids ascending.
-fn order_key(record: &ProvenanceRecord, desc: bool) -> (i128, TupleSetId) {
-    let t = i128::from(record.created_at.0);
-    (if desc { -t } else { t }, record.id)
-}
-
-enum CursorState {
-    /// Stream candidates; fetch + residual-check per pull.
-    Stream(CandidateStream),
-    /// `ORDER BY` over a filtered source: drain, sort, and cut on the
-    /// first pull, then emit from the buffer.
-    SortPending { stream: CandidateStream, desc: bool, after: Option<(Timestamp, TupleSetId)> },
-    /// Sorted buffer being emitted.
-    Buffered(std::vec::IntoIter<ProvenanceRecord>),
-}
-
 /// A pull-based result cursor.
 ///
 /// Yields matching [`ProvenanceRecord`]s lazily via [`Iterator`];
@@ -357,7 +367,7 @@ enum CursorState {
 /// early abandons the remaining work — that is the point.
 pub struct Cursor<'a> {
     provider: ProviderHandle<'a>,
-    state: CursorState,
+    stream: CandidateStream,
     residual: Predicate,
     needs_recheck: bool,
     remaining: Option<usize>,
@@ -385,19 +395,23 @@ impl<'a> Cursor<'a> {
 
     fn open_handle<'p>(provider: ProviderHandle<'p>, plan: &Plan) -> Result<Cursor<'p>> {
         let p = provider.get();
-        let used_index = match &plan.source {
-            PlanSource::Index(expr) => !matches!(expr, IndexExpr::All),
-            PlanSource::Scan => false,
-        };
+        // Both the `All` index expression and a full scan draw
+        // candidates from every record (residuals still re-check per
+        // pull).
+        let unfiltered =
+            matches!(&plan.source, PlanSource::Index(IndexExpr::All) | PlanSource::Scan);
 
         // Candidate sources, kept as separate lists so the intersection
         // can leapfrog lazily. A top-level AND contributes one list per
         // child; nested expressions within a child evaluate eagerly
-        // (they are id-set algebra, not record work). Evaluated only by
-        // the strategies that consume them — the ordered pushdown path
-        // never touches the unfiltered source.
-        let build_lists = || -> Result<Vec<PostingList>> {
+        // (they are id-set algebra, not record work). A lineage scope
+        // over an unfiltered source takes its candidates from the
+        // closure alone. Evaluated only by the strategies that consume
+        // them — the ordered pushdown path never touches the unfiltered
+        // source.
+        let build_stream = || -> Result<CandidateStream> {
             let mut lists: Vec<PostingList> = match &plan.source {
+                _ if unfiltered && plan.lineage.is_some() => Vec::new(),
                 PlanSource::Index(IndexExpr::And(children)) => {
                     children.iter().map(|c| eval_index_expr(c, p)).collect()
                 }
@@ -414,76 +428,69 @@ impl<'a> Cursor<'a> {
                 }
                 lists.push(closure);
             }
-            Ok(lists)
+            Ok(CandidateStream::new(lists))
         };
+        let after_idx =
+            |after: TupleSetId| p.node_of(after).ok_or(QueryError::UnknownTupleSet(after));
 
-        let needs_recheck = !plan.is_exact();
-        // Both the `All` index expression and a full scan draw
-        // candidates from every record, so a created-order scan serves
-        // them directly (residuals still re-check per pull).
-        let whole_store =
-            matches!(&plan.source, PlanSource::Index(IndexExpr::All) | PlanSource::Scan)
-                && plan.lineage.is_none();
-
-        let state = match plan.order {
+        let stream = match plan.order {
             OrderBy::None => {
-                let mut stream = CandidateStream::new(build_lists()?);
+                let mut stream = build_stream()?;
                 if let Some(after) = plan.after {
-                    let idx = p.node_of(after).ok_or(QueryError::UnknownTupleSet(after))?;
-                    stream.skip_past(idx);
+                    stream.skip_past(after_idx(after)?);
                 }
-                CursorState::Stream(stream)
+                stream
             }
             OrderBy::CreatedAsc | OrderBy::CreatedDesc => {
                 let desc = plan.order == OrderBy::CreatedDesc;
-                let ordered = if whole_store { p.created_scan(desc) } else { None };
-                match ordered {
+                let after_key = match plan.after {
+                    None => None,
+                    Some(after) => Some(order_key(
+                        p.created_key(after_idx(after)?)
+                            .ok_or(QueryError::UnknownTupleSet(after))?,
+                        desc,
+                    )),
+                };
+                let whole_store = unfiltered && plan.lineage.is_none();
+                match whole_store.then(|| p.created_scan(desc)).flatten() {
                     // ORDER BY pushdown: the provider serves the whole
                     // store in created order, so emission is streaming
                     // and the limit cut touches ~limit records.
                     Some(ordered) => {
-                        let start = match plan.after {
-                            None => 0,
-                            Some(after) => {
-                                let idx =
-                                    p.node_of(after).ok_or(QueryError::UnknownTupleSet(after))?;
-                                match ordered.iter().position(|&o| o == idx) {
-                                    Some(at) => at + 1,
-                                    None => return Err(QueryError::UnknownTupleSet(after)),
-                                }
-                            }
-                        };
-                        CursorState::Stream(CandidateStream::Shared { items: ordered, pos: start })
+                        let pos = after_key.map_or(0, |after| {
+                            ordered.partition_point(|&o| {
+                                p.created_key(o).is_some_and(|k| order_key(k, desc) <= after)
+                            })
+                        });
+                        CandidateStream::Shared { items: ordered, pos }
                     }
+                    // A selective source: sort the candidates' keys, not
+                    // their records, then stream fetches in that order.
                     None => {
-                        let after_key = match plan.after {
-                            None => None,
-                            Some(after) => {
-                                let idx =
-                                    p.node_of(after).ok_or(QueryError::UnknownTupleSet(after))?;
-                                let record =
-                                    p.fetch(idx).ok_or(QueryError::UnknownTupleSet(after))?;
-                                Some((record.created_at, record.id))
-                            }
-                        };
-                        CursorState::SortPending {
-                            stream: CandidateStream::new(build_lists()?),
-                            desc,
-                            after: after_key,
-                        }
+                        let mut stream = build_stream()?;
+                        let mut keyed: Vec<((i128, TupleSetId), NodeIdx)> =
+                            std::iter::from_fn(|| stream.next())
+                                .filter_map(|idx| Some((order_key(p.created_key(idx)?, desc), idx)))
+                                .collect();
+                        keyed.sort_unstable_by_key(|&(key, _)| key);
+                        let start = after_key
+                            .map_or(0, |after| keyed.partition_point(|&(key, _)| key <= after));
+                        let items = keyed[start..].iter().map(|&(_, idx)| idx).collect();
+                        CandidateStream::List { items, pos: 0 }
                     }
                 }
             }
         };
 
+        let needs_recheck = !plan.is_exact();
         Ok(Cursor {
             provider,
-            state,
+            stream,
             residual: plan.residual.clone(),
             needs_recheck,
             remaining: plan.limit,
             stats: ExecStats {
-                used_index,
+                used_index: !unfiltered,
                 exact: !needs_recheck,
                 plan: plan.explain(),
                 ..ExecStats::default()
@@ -495,77 +502,31 @@ impl<'a> Cursor<'a> {
     pub fn stats(&self) -> &ExecStats {
         &self.stats
     }
-
-    /// Pulls the next candidate through fetch + residual check.
-    fn pull_stream(
-        provider: &dyn Provider,
-        stream: &mut CandidateStream,
-        residual: &Predicate,
-        needs_recheck: bool,
-        stats: &mut ExecStats,
-    ) -> Option<ProvenanceRecord> {
-        loop {
-            let idx = stream.next()?;
-            stats.candidates_scanned += 1;
-            let Some(record) = provider.fetch(idx) else {
-                // Index knows the node but the record is gone: a
-                // placeholder parent (removed ancestor / remote tuple
-                // set). Skip.
-                continue;
-            };
-            stats.fetched += 1;
-            if needs_recheck && !residual.matches(&record) {
-                stats.residual_rejected += 1;
-                continue;
-            }
-            return Some(record);
-        }
-    }
 }
 
 impl Iterator for Cursor<'_> {
     type Item = ProvenanceRecord;
 
+    /// Pulls candidates through fetch + residual check until one matches.
     fn next(&mut self) -> Option<ProvenanceRecord> {
         if self.remaining == Some(0) {
             return None;
         }
-        // ORDER BY fallback: materialize the sorted buffer on first pull.
-        if let CursorState::SortPending { stream, desc, after } = &mut self.state {
-            let desc = *desc;
-            let after = *after;
-            let mut records = Vec::new();
-            while let Some(record) = Cursor::pull_stream(
-                self.provider.get(),
-                stream,
-                &self.residual,
-                self.needs_recheck,
-                &mut self.stats,
-            ) {
-                records.push(record);
+        let record = loop {
+            let idx = self.stream.next()?;
+            self.stats.candidates_scanned += 1;
+            let Some(record) = self.provider.get().fetch(idx) else {
+                // Index knows the node but the record is gone: a
+                // placeholder parent (removed ancestor / remote tuple
+                // set). Skip.
+                continue;
+            };
+            self.stats.fetched += 1;
+            if self.needs_recheck && !self.residual.matches(&record) {
+                self.stats.residual_rejected += 1;
+                continue;
             }
-            records.sort_by_key(|r| order_key(r, desc));
-            if let Some((t, id)) = after {
-                let key = {
-                    let t = i128::from(t.0);
-                    (if desc { -t } else { t }, id)
-                };
-                let skip = records.partition_point(|r| order_key(r, desc) <= key);
-                records.drain(..skip);
-            }
-            self.state = CursorState::Buffered(records.into_iter());
-        }
-
-        let record = match &mut self.state {
-            CursorState::Stream(stream) => Cursor::pull_stream(
-                self.provider.get(),
-                stream,
-                &self.residual,
-                self.needs_recheck,
-                &mut self.stats,
-            )?,
-            CursorState::Buffered(buffered) => buffered.next()?,
-            CursorState::SortPending { .. } => unreachable!("materialized above"),
+            break record;
         };
         self.stats.returned += 1;
         if let Some(r) = &mut self.remaining {
