@@ -11,7 +11,7 @@ use pass_index::{
     AncestryGraph, AttrIndex, BfsClosure, KeywordIndex, NodeIdx, PostingList, ReachStrategy,
     TimeIndex,
 };
-use pass_model::{keys, ProvenanceRecord, TimeRange, TupleSetId, Value};
+use pass_model::{keys, ProvenanceRecord, TimeRange, Timestamp, TupleSetId, Value};
 use pass_query::{Cursor, LineageClause, PreparedQuery, Provider, Query, QueryEngine, QueryResult};
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -165,6 +165,10 @@ impl Provider for MetaIndex {
         let id = self.graph.resolve(idx)?;
         self.records.get(&id).cloned()
     }
+    fn created_key(&self, idx: NodeIdx) -> Option<(Timestamp, TupleSetId)> {
+        let id = self.graph.resolve(idx)?;
+        self.records.get(&id).map(|r| (r.created_at, id))
+    }
     fn created_scan(&self, desc: bool) -> Option<std::sync::Arc<[NodeIdx]>> {
         let mut cache = self.created_scans.lock();
         if cache.len != self.records.len() {
@@ -196,7 +200,7 @@ impl QueryEngine for MetaIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pass_model::{Digest128, ProvenanceBuilder, SiteId, Timestamp, ToolDescriptor};
+    use pass_model::{Digest128, ProvenanceBuilder, SiteId, ToolDescriptor};
 
     fn record(domain: &str, n: u8) -> ProvenanceRecord {
         ProvenanceBuilder::new(SiteId(1), Timestamp(u64::from(n)))
@@ -233,5 +237,30 @@ mod tests {
         assert_eq!(res.ids(), vec![root.id]);
         assert_eq!(m.parents_of(child.id), Some(vec![root.id]));
         assert_eq!(m.parents_of(TupleSetId(999)), None);
+    }
+
+    #[test]
+    fn filtered_order_by_pages_in_created_order() {
+        let mut m = MetaIndex::new();
+        let recs: Vec<_> =
+            (0..12).map(|n| record(if n % 3 == 0 { "x" } else { "y" }, 20 - n)).collect();
+        for r in &recs {
+            m.insert(r);
+        }
+        let mut want: Vec<_> =
+            recs.iter().filter(|r| r.attributes.get_str("domain") == Some("y")).collect();
+        want.sort_by_key(|r| std::cmp::Reverse(r.created_at));
+        let want: Vec<_> = want.iter().map(|r| r.id).collect();
+        let q = pass_query::parse(r#"FIND WHERE domain = "y" ORDER BY created DESC"#).unwrap();
+        assert_eq!(m.query(&q).unwrap().ids(), want);
+        let mut paged = Vec::new();
+        let mut after = None;
+        loop {
+            let page = m.query_page(&q, after, 3).unwrap();
+            let Some(&last) = page.last() else { break };
+            paged.extend(page);
+            after = Some(last);
+        }
+        assert_eq!(paged, want);
     }
 }
