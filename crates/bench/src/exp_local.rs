@@ -197,21 +197,21 @@ pub fn e20_concurrent_store_disk(
 /// sets, deterministic across runs.
 fn e20_specs(total_sets: usize) -> Vec<pass_sensor::CaptureSpec> {
     let mut rng = rng_for(20, "e20");
-    (0..total_sets)
-        .map(|i| {
-            let at = Timestamp(i as u64 * 1_000);
-            pass_sensor::CaptureSpec {
-                attrs: Attributes::new()
-                    .with(keys::DOMAIN, "traffic")
-                    .with(keys::REGION, format!("zone-{}", i % 8))
-                    .with(keys::TYPE, "car_sighting")
-                    .with("seq", i as i64),
-                readings: vec![Reading::new(SensorId((i % 64) as u64), at)
-                    .with("speed_kmh", rng.gen_range(10.0..80.0))],
-                at,
-            }
-        })
-        .collect()
+    (0..total_sets).map(|i| e20_spec(i, rng.gen_range(10.0..80.0))).collect()
+}
+
+/// Set `i` of the e20 corpus, with the given reading.
+fn e20_spec(i: usize, speed_kmh: f64) -> pass_sensor::CaptureSpec {
+    let at = Timestamp(i as u64 * 1_000);
+    pass_sensor::CaptureSpec {
+        attrs: Attributes::new()
+            .with(keys::DOMAIN, "traffic")
+            .with(keys::REGION, format!("zone-{}", i % 8))
+            .with(keys::TYPE, "car_sighting")
+            .with("seq", i as i64),
+        readings: vec![Reading::new(SensorId((i % 64) as u64), at).with("speed_kmh", speed_kmh)],
+        at,
+    }
 }
 
 /// E20 table: ingest throughput and per-batch amortization across
@@ -240,7 +240,92 @@ pub fn e20_table() -> String {
         out.push_str(&e20_row("disk", disk_total, batch, rate, rate / base, &pass));
     }
     out.push_str(&e20_concurrent_table());
+    out.push_str(&e20_live_table(&[10_000, 100_000, 1_000_000]));
     out
+}
+
+/// Commits timed per E20 live-readers point.
+const E20_LIVE_COMMITS: usize = 300;
+
+/// One E20 live-readers row: 16-set `capture_batch` commit latency, as
+/// `(p50_us, p99_us)`, into a memory store preloaded by
+/// [`e20_live_store`], while `readers` snapshots are alive. Like a
+/// server answering queries, the readers keep taking fresh snapshots:
+/// before every commit the oldest held snapshot is replaced by one of
+/// the current version, so every commit overlaps a reader of the state
+/// it replaces.
+pub fn e20_live_point(pass: &Pass, next: &mut usize, readers: usize) -> (f64, f64) {
+    let mut rng = rng_for(20, "e20-live");
+    let mut held = std::collections::VecDeque::with_capacity(readers);
+    let mut us = Vec::with_capacity(E20_LIVE_COMMITS);
+    for _ in 0..E20_LIVE_COMMITS {
+        if readers > 0 {
+            if held.len() == readers {
+                held.pop_front();
+            }
+            held.push_back(pass.snapshot());
+        }
+        let batch: Vec<_> = (*next..*next + 16)
+            .map(|i| {
+                let spec = e20_spec(i, rng.gen_range(10.0..80.0));
+                (spec.attrs, spec.readings, spec.at)
+            })
+            .collect();
+        *next += 16;
+        let t = Instant::now();
+        pass.capture_batch(batch).expect("live-readers commit");
+        us.push(t.elapsed().as_secs_f64() * 1e6);
+    }
+    us.sort_by(f64::total_cmp);
+    let at = |q: f64| us[((us.len() - 1) as f64 * q).round() as usize];
+    (at(0.5), at(0.99))
+}
+
+/// The store an E20 live-readers series runs against: `records` e20
+/// sets captured 4 096 to a commit, with no reader alive.
+pub fn e20_live_store(records: usize) -> Pass {
+    e20_batched_store(records, 4_096).0
+}
+
+/// E20 live-readers table: commit p50/p99 with 0, 1 and 8 live readers
+/// at each store size, and each p50 as a multiple of the no-reader p50.
+/// Returns the table and, per size, `(records, p50 with 0 readers, p50
+/// with 1 reader)` for gates.
+pub fn e20_live_series(sizes: &[usize]) -> (String, Vec<(usize, f64, f64)>) {
+    let mut out = String::from(
+        "\nE20l 16-set commits with live readers (memory, snapshots re-taken per commit)\n\
+         records   readers   commits   p50_us   p99_us   p50_vs_0\n",
+    );
+    let mut gates = Vec::new();
+    for &records in sizes {
+        let pass = e20_live_store(records);
+        let mut next = records;
+        let mut base = None;
+        let mut one = 0.0;
+        for readers in [0usize, 1, 8] {
+            let (p50, p99) = e20_live_point(&pass, &mut next, readers);
+            let base = *base.get_or_insert(p50);
+            if readers == 1 {
+                one = p50;
+            }
+            out.push_str(&format!(
+                "{:>7} {:>9} {:>9} {:>8.1} {:>8.1} {:>10.2}\n",
+                records,
+                readers,
+                E20_LIVE_COMMITS,
+                p50,
+                p99,
+                p50 / base
+            ));
+        }
+        gates.push((records, base.unwrap_or(0.0), one));
+    }
+    (out, gates)
+}
+
+/// [`e20_live_series`] as a table only.
+pub fn e20_live_table(sizes: &[usize]) -> String {
+    e20_live_series(sizes).0
 }
 
 /// The ISSUE-6 concurrent-writers × shards series: disk backend, every

@@ -40,11 +40,18 @@
 //! All in-memory index state lives in one immutable `State` behind an
 //! `Arc`. Readers call [`Pass::snapshot`] — an O(1) `Arc` clone — and
 //! query the snapshot lock-free with repeatable-read semantics; writers
-//! never block them. Writers serialize on a commit mutex and publish a
-//! new state via copy-on-write (`Arc::make_mut`): the full clone is paid
-//! only on the first write after an outstanding snapshot was taken,
-//! which batching amortizes. [`Pass::query`] itself runs against a fresh
-//! snapshot, so a single query never observes a half-applied batch.
+//! never block them. Writers publish a new state via copy-on-write
+//! (`Arc::make_mut`), and a commit costs its batch whether or not a
+//! snapshot is alive. Every part of `State` is a persistent structure
+//! from `pass-index`: records and per-node columns in chunked-`Arc`
+//! vectors ([`ChunkVec`]), keyed lookups in path-copying maps, the time
+//! index in `Arc`'d sorted runs. When a snapshot still holds the
+//! published state, `make_mut` clones only the top level (a few `Arc`
+//! bumps), and the commit then copies just the chunks and map paths it
+//! writes; everything else stays shared with the snapshot. With no
+//! snapshot alive, nothing is shared and everything mutates in place.
+//! [`Pass::query`] itself runs against a fresh snapshot, so a single
+//! query never observes a half-applied batch.
 //!
 //! # Sharded multi-writer commits
 //!
@@ -71,7 +78,7 @@ use crate::shard::{self, Sharding};
 use crate::subscribe::{Hub, Subscription, WatchState, DEFAULT_SUBSCRIPTION_CAPACITY};
 use parking_lot::{Mutex, RwLock};
 use pass_index::{
-    AncestryGraph, AttrIndex, BfsClosure, IntervalClosure, KeywordIndex, MemoClosure,
+    AncestryGraph, AttrIndex, BfsClosure, ChunkVec, IntervalClosure, KeywordIndex, MemoClosure,
     NaiveJoinClosure, NodeIdx, PostingList, ReachStrategy, TimeIndex, TraverseOpts,
 };
 use pass_model::codec::{Decode, Encode};
@@ -105,14 +112,25 @@ impl Clone for CreatedScanCache {
 }
 
 /// In-memory index state: immutable once published, shared by snapshots.
+///
+/// Every field is a persistent container ([`ChunkVec`], the `PMap`s
+/// inside the indexes, the time index's `Arc`'d runs), so cloning a
+/// `State` costs a few `Arc` bumps whatever the store's size, and a
+/// commit that finds its predecessor still held by a snapshot copies
+/// only the chunks and paths it changes.
 #[derive(Clone)]
 struct State {
     graph: AncestryGraph,
     attrs: AttrIndex,
     keywords: KeywordIndex,
     time: TimeIndex,
-    records: HashMap<TupleSetId, ProvenanceRecord>,
-    data_present: HashSet<TupleSetId>,
+    /// Records by node; `None` for placeholder ancestors. Each record is
+    /// one allocation, shared with the subscription changelogs.
+    records: ChunkVec<Option<Arc<ProvenanceRecord>>>,
+    record_count: usize,
+    /// Whether each node's readings are present.
+    data_present: ChunkVec<bool>,
+    data_count: usize,
     created_scans: CreatedScanCache,
     /// Commit sequence number, assigned under the state write lock so a
     /// snapshot's state and version can never disagree (the shared
@@ -129,11 +147,7 @@ impl State {
     fn created_scan(&self, desc: bool) -> std::sync::Arc<[NodeIdx]> {
         let cell = if desc { &self.created_scans.desc } else { &self.created_scans.asc };
         cell.get_or_init(|| {
-            let keyed = self
-                .records
-                .iter()
-                .filter_map(|(id, r)| self.graph.lookup(*id).map(|idx| (r.created_at, *id, idx)))
-                .collect();
+            let keyed = self.records().map(|(idx, r)| (r.created_at, r.id, idx)).collect();
             pass_query::created_order_scan(keyed, desc)
         })
         .clone()
@@ -145,64 +159,120 @@ impl State {
             attrs: AttrIndex::new(),
             keywords: KeywordIndex::new(),
             time: TimeIndex::new(),
-            records: HashMap::new(),
-            data_present: HashSet::new(),
+            records: ChunkVec::new(),
+            record_count: 0,
+            data_present: ChunkVec::new(),
+            data_count: 0,
             created_scans: CreatedScanCache::default(),
             version: 0,
         }
     }
 
-    /// Indexes one record everywhere (single-record path: annotation
-    /// merges and archive imports).
-    fn index_record(&mut self, record: &ProvenanceRecord) -> NodeIdx {
-        let idx = self.index_records(&[record])[0];
-        self.time.build();
-        idx
+    /// Every record with its node, in node order.
+    fn records(&self) -> impl Iterator<Item = (NodeIdx, &Arc<ProvenanceRecord>)> + '_ {
+        self.records
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, slot)| slot.as_ref().map(|r| (idx as NodeIdx, r)))
     }
 
-    /// Bulk-indexes a batch of records: graph edges per record, then one
-    /// sorted bulk insert per index so maintenance cost is amortized over
-    /// the batch (`AttrIndex::insert_bulk`, `KeywordIndex::insert_bulk`,
-    /// one `TimeIndex` rebuild). Caller must finish with
-    /// `self.time.build()` once all batches of a commit are in.
-    fn index_records(&mut self, records: &[&ProvenanceRecord]) -> Vec<NodeIdx> {
-        self.apply_delta(IndexDelta::prepare(records))
+    fn record_at(&self, idx: NodeIdx) -> Option<&Arc<ProvenanceRecord>> {
+        self.records.get(idx as usize)?.as_ref()
     }
 
-    /// Applies a pre-extracted [`IndexDelta`]. Only the parts that need
-    /// `&mut self` happen here — graph interning (which assigns the
-    /// `NodeIdx` every other entry is remapped onto) and the sorted bulk
-    /// merges — so shard-parallel writers keep the serialized publish
-    /// section as short as possible.
-    fn apply_delta(&mut self, delta: IndexDelta) -> Vec<NodeIdx> {
-        let mut idxs = Vec::with_capacity(delta.records.len());
-        for (slot, record) in delta.records.iter().enumerate() {
-            idxs.push(self.graph.insert(record.id, &delta.parents[slot]));
+    fn record(&self, id: TupleSetId) -> Option<&Arc<ProvenanceRecord>> {
+        self.record_at(self.graph.lookup(id)?)
+    }
+
+    fn readings_present(&self, id: TupleSetId) -> bool {
+        self.graph.lookup(id).and_then(|idx| self.data_present.get(idx as usize)) == Some(&true)
+    }
+
+    /// Marks `id`'s readings present or absent; unknown ids are ignored.
+    fn set_data_present(&mut self, id: TupleSetId, present: bool) {
+        if let Some(idx) = self.graph.lookup(id) {
+            self.set_data_at(idx, present);
+        }
+    }
+
+    fn set_data_at(&mut self, idx: NodeIdx, present: bool) {
+        if self.data_present.get(idx as usize) == Some(&present) {
+            return;
+        }
+        if let Some(flag) = self.data_present.get_mut(idx as usize) {
+            *flag = present;
+            if present {
+                self.data_count += 1;
+            } else {
+                self.data_count -= 1;
+            }
+        }
+    }
+
+    /// Replaces an existing record (annotation merges) and indexes the
+    /// annotation texts it gained. Callers validated presence under the
+    /// record's shard lock; a miss means the state diverged, so skip
+    /// rather than poison every later commit by panicking mid-publish.
+    fn replace_record(&mut self, record: ProvenanceRecord, new_texts: &[&str]) {
+        let Some(idx) = self.graph.lookup(record.id) else { return };
+        let Some(Some(slot)) = self.records.get_mut(idx as usize) else { return };
+        *slot = Arc::new(record);
+        for text in new_texts {
+            self.keywords.insert(idx, text);
+        }
+    }
+
+    /// Applies a pre-extracted [`IndexDelta`] of records not yet held,
+    /// whose readings are present when `with_data`, and returns the
+    /// records for the changelog. Only the parts that need `&mut self`
+    /// happen here — graph interning (which assigns the `NodeIdx` every
+    /// other entry is remapped onto) and the sorted bulk merges — so
+    /// shard-parallel writers keep the serialized publish section as
+    /// short as possible. Ends with one time-index build, so the state it
+    /// leaves is ready to publish.
+    fn apply_delta(&mut self, delta: IndexDelta, with_data: bool) -> Vec<Arc<ProvenanceRecord>> {
+        let IndexDelta { records, parents, attrs, docs, ranges } = delta;
+        let mut idxs = Vec::with_capacity(records.len());
+        for (record, parents) in records.iter().zip(&parents) {
+            // Interning assigns the record's node before its parents'.
+            let idx = self.graph.insert(record.id, parents);
+            idxs.push(idx);
+            if idx as usize == self.records.len() {
+                self.records.push(Some(Arc::clone(record)));
+                self.data_present.push(false);
+            } else if let Some(slot) = self.records.get_mut(idx as usize) {
+                // A placeholder ancestor gaining its record.
+                *slot = Some(Arc::clone(record));
+            }
+            self.record_count += 1;
+            if with_data {
+                self.set_data_at(idx, true);
+            }
+            let nodes = self.graph.node_count();
+            self.records.resize(nodes, None);
+            self.data_present.resize(nodes, false);
         }
         self.attrs.insert_bulk(
-            delta.attrs.into_iter().map(|(slot, name, value)| (idxs[slot], name, value)).collect(),
+            attrs.into_iter().map(|(slot, name, value)| (idxs[slot], name, value)).collect(),
         );
-        self.keywords
-            .insert_bulk(delta.docs.iter().map(|(slot, text)| (idxs[*slot], text.as_str())));
-        for (slot, range) in delta.ranges {
+        self.keywords.insert_bulk(docs.iter().map(|(slot, text)| (idxs[*slot], text.as_str())));
+        for (slot, range) in ranges {
             self.time.insert(idxs[slot], range);
         }
-        for record in delta.records {
-            self.records.insert(record.id, record);
-        }
-        idxs
+        self.time.build();
+        records
     }
 }
 
 /// Everything a batch contributes to the in-memory indexes, extracted
-/// ahead of the publish critical section: record clones, parent edge
-/// lists, attribute rows, keyword documents, and time ranges, each keyed
-/// by the record's *slot* (position in the batch). Slots are remapped to
-/// `NodeIdx` under the state lock — node indices are assigned by graph
-/// interning (placeholder reuse makes them non-monotone), so they cannot
-/// be precomputed outside it.
+/// ahead of the publish critical section: the shared records, parent
+/// edge lists, attribute rows, keyword documents, and time ranges, each
+/// keyed by the record's *slot* (position in the batch). Slots are
+/// remapped to `NodeIdx` under the state lock — node indices are
+/// assigned by graph interning (placeholder reuse makes them
+/// non-monotone), so they cannot be precomputed outside it.
 struct IndexDelta {
-    records: Vec<ProvenanceRecord>,
+    records: Vec<Arc<ProvenanceRecord>>,
     parents: Vec<Vec<(TupleSetId, bool)>>,
     attrs: Vec<(usize, String, Value)>,
     docs: Vec<(usize, String)>,
@@ -210,9 +280,9 @@ struct IndexDelta {
 }
 
 impl IndexDelta {
-    fn prepare(records: &[&ProvenanceRecord]) -> IndexDelta {
+    fn prepare(records: Vec<Arc<ProvenanceRecord>>) -> IndexDelta {
         let mut delta = IndexDelta {
-            records: Vec::with_capacity(records.len()),
+            records: Vec::new(),
             parents: Vec::with_capacity(records.len()),
             attrs: Vec::new(),
             docs: Vec::new(),
@@ -249,8 +319,8 @@ impl IndexDelta {
             if let Some(range) = record.time_range() {
                 delta.ranges.push((slot, range));
             }
-            delta.records.push((*record).clone());
         }
+        delta.records = records;
         delta
     }
 }
@@ -334,7 +404,7 @@ pub struct Pass {
     config: PassConfig,
     store: Arc<dyn KvStore>,
     /// Published index state. Readers `Arc`-clone it (O(1)); writers
-    /// replace it copy-on-write under the commit lock.
+    /// replace it copy-on-write, sharing what they do not touch.
     state: RwLock<Arc<State>>,
     /// Per-shard commit locks (one lock — the old global commit mutex —
     /// when `shards = 1`) plus the direct shard handles the commit path
@@ -373,7 +443,7 @@ impl std::fmt::Debug for Pass {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pass")
             .field("site", &self.config.site)
-            .field("records", &self.state.read().records.len())
+            .field("records", &self.state.read().record_count)
             .finish()
     }
 }
@@ -495,14 +565,13 @@ impl Pass {
             };
             let record = ProvenanceRecord::decode_all(&value)?;
             debug_assert_eq!(record.id, id, "key/record id agreement");
-            records.push(record);
+            records.push(Arc::new(record));
         }
         // Open-time rebuild is the largest batch of all — one bulk pass.
-        state.index_records(&records.iter().collect::<Vec<_>>());
-        state.time.build();
+        state.apply_delta(IndexDelta::prepare(records), false);
         for (key, _) in self.store.scan_prefix(&[keyspace::MARKER])? {
             if let Some((_, id)) = keyspace::parse(&key) {
-                state.data_present.insert(id);
+                state.set_data_present(id, true);
             }
         }
         let mut guard = self.state.write();
@@ -518,7 +587,8 @@ impl Pass {
     }
 
     /// Runs an in-memory state mutation under copy-on-write: clones the
-    /// published state only when snapshots still reference it, then
+    /// published state's top level only when snapshots still reference
+    /// it (the mutation then copies just the parts it writes), then
     /// publishes the mutated state. The write lock is held only for the
     /// mutation itself, never across storage I/O. The new version is
     /// assigned inside the lock, atomically with publication — otherwise
@@ -542,11 +612,13 @@ impl Pass {
 
     /// An O(1), repeatable-read view of the store. The snapshot
     /// implements the query [`Provider`] and [`QueryEngine`] traits and
-    /// keeps answering consistently while ingest proceeds; it holds the
-    /// index state alive until dropped (writers then pay one
-    /// copy-on-write clone on their next commit). It also pins its
-    /// commit version in the GC registry, so background compaction
-    /// keeps every storage version the snapshot can still read.
+    /// keeps answering consistently while ingest proceeds. It holds its
+    /// version of the index state alive until dropped; commits meanwhile
+    /// share every part of that state they do not write, so holding a
+    /// snapshot costs a commit only the chunks and paths it copies, not
+    /// a copy of the store. It also pins its commit version in the GC
+    /// registry, so background compaction keeps every storage version
+    /// the snapshot can still read.
     pub fn snapshot(&self) -> Snapshot {
         let state = self.state.read().clone();
         let pin = self.pins.pin(state.version);
@@ -622,9 +694,9 @@ impl Pass {
         // its shard's lock — so this read is stable for our ids even
         // while other shards keep committing. Validation borrows the
         // state through the read guard rather than cloning the `Arc`: a
-        // cloned handle held here would force every concurrent
-        // publisher's `Arc::make_mut` to deep-copy the entire state,
-        // serializing shard-parallel writers on copy work.
+        // cloned handle held here would make every concurrent
+        // publisher's `Arc::make_mut` copy the state's top level and the
+        // paths it writes, work no snapshot needs.
         let current = self.state.read();
         let mut fresh: Vec<&TupleSet> = Vec::with_capacity(sets.len());
         let mut seen: HashMap<TupleSetId, pass_model::Digest128> = HashMap::new();
@@ -650,7 +722,7 @@ impl Pass {
             // PASS property 3: identical id ⇒ identical provenance.
             // Identity binds the content digest, so matching ids with
             // matching digests are the same tuple set.
-            if let Some(existing) = current.records.get(&record.id) {
+            if let Some(existing) = current.record(record.id) {
                 if existing.content_digest == record.content_digest {
                     continue; // idempotent re-ingest
                 }
@@ -698,25 +770,19 @@ impl Pass {
         self.sharding.apply_parts(&self.store, parts)?;
 
         // Phase 3: one bulk index publish under the global version. The
-        // delta (record clones, attribute rows, tokenized docs) is
-        // extracted *before* the serialized section; only graph
-        // interning, the sorted merges, and the broadcast sit inside it.
-        let records: Vec<&ProvenanceRecord> = fresh.iter().map(|ts| &ts.provenance).collect();
-        let delta = IndexDelta::prepare(&records);
-        let new_ids: Vec<TupleSetId> = records.iter().map(|r| r.id).collect();
+        // delta (one shared record allocation each, attribute rows,
+        // tokenized docs) is extracted *before* the serialized section;
+        // only graph interning, the sorted merges, and the broadcast sit
+        // inside it.
+        let delta =
+            IndexDelta::prepare(fresh.iter().map(|ts| Arc::new(ts.provenance.clone())).collect());
         let order = self.publish_order.lock();
-        let ((), version) = self.publish(|state| {
-            state.apply_delta(delta);
-            state.time.build();
-            for id in &new_ids {
-                state.data_present.insert(*id);
-            }
-        });
+        let (records, version) = self.publish(|state| state.apply_delta(delta, true));
         // Broadcast while still holding the publish-order lock so
         // subscribers receive changelogs in version order even under
-        // shard-parallel writers. The record clones are paid only when
-        // a subscriber exists.
-        self.hub.broadcast(version, || fresh.iter().map(|ts| ts.provenance.clone()).collect());
+        // shard-parallel writers. The changelog shares the records the
+        // state holds.
+        self.hub.broadcast(version, || records);
         drop(order);
         self.metrics.ingests.fetch_add(fresh.len() as u64, Ordering::Relaxed);
         self.metrics.batches.fetch_add(1, Ordering::Relaxed);
@@ -784,26 +850,21 @@ impl Pass {
     /// holds more than one shard lock.
     pub fn annotate(&self, id: TupleSetId, annotation: Annotation) -> Result<()> {
         let _commit = self.sharding.lock_one(self.sharding.shard_of(id));
-        let current = self.state.read().clone();
-        if current.graph.lookup(id).is_none() {
-            return Err(PassError::NotFound(id));
-        }
-        let Some(mut record) = current.records.get(&id).cloned() else {
+        // Borrow the published state through the read guard, as ingest
+        // does: a cloned `Arc<State>` held here would make any commit on
+        // another shard copy the state's top level.
+        let current = self.state.read();
+        let Some(existing) = current.record(id) else {
             return Err(PassError::NotFound(id));
         };
+        let mut record = ProvenanceRecord::clone(existing);
+        drop(current);
         record.annotate(annotation.clone());
         let encoded = record.encode_to_vec();
-        drop(current);
         self.store.put(&keyspace::key(keyspace::RECORD, id), &encoded)?;
-        self.publish(|state| {
-            // Both lookups were validated above and the shard lock pins
-            // them; a miss here means the state diverged, so skip rather
-            // than poison every later commit by panicking mid-publish.
-            let Some(idx) = state.graph.lookup(id) else { return };
-            let Some(record) = state.records.get_mut(&id) else { return };
-            record.annotate(annotation.clone());
-            state.keywords.insert(idx, &annotation.text);
-        });
+        // The shard lock pins the record between the read above and this
+        // publish, so replacing it loses no concurrent change.
+        self.publish(|state| state.replace_record(record, &[annotation.text.as_str()]));
         self.metrics.annotations.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -812,7 +873,7 @@ impl Pass {
 
     /// The provenance record for `id`, if present.
     pub fn get_record(&self, id: TupleSetId) -> Option<ProvenanceRecord> {
-        self.state.read().records.get(&id).cloned()
+        self.state.read().record(id).map(|r| ProvenanceRecord::clone(r))
     }
 
     /// The readings for `id`: `Ok(None)` when the data was removed (the
@@ -837,17 +898,17 @@ impl Pass {
 
     /// True when the record exists here.
     pub fn contains(&self, id: TupleSetId) -> bool {
-        self.state.read().records.contains_key(&id)
+        self.state.read().record(id).is_some()
     }
 
     /// True when the readings are still present.
     pub fn has_data(&self, id: TupleSetId) -> bool {
-        self.state.read().data_present.contains(&id)
+        self.state.read().readings_present(id)
     }
 
     /// Number of records held.
     pub fn len(&self) -> usize {
-        self.state.read().records.len()
+        self.state.read().record_count
     }
 
     /// True when no records are held.
@@ -857,7 +918,7 @@ impl Pass {
 
     /// All record ids (unordered).
     pub fn ids(&self) -> Vec<TupleSetId> {
-        self.state.read().records.keys().copied().collect()
+        self.state.read().records().map(|(_, r)| r.id).collect()
     }
 
     // -- Removal (PASS property 4) --------------------------------------
@@ -870,19 +931,17 @@ impl Pass {
     pub fn remove_data(&self, id: TupleSetId) -> Result<bool> {
         let _commit = self.sharding.lock_one(self.sharding.shard_of(id));
         let current = self.state.read();
-        if !current.records.contains_key(&id) {
+        if current.record(id).is_none() {
             return Err(PassError::NotFound(id));
         }
-        let had = current.data_present.contains(&id);
+        let had = current.readings_present(id);
         drop(current);
         if had {
             let mut batch = WriteBatch::new();
             batch.delete(keyspace::key(keyspace::DATA, id).to_vec());
             batch.delete(keyspace::key(keyspace::MARKER, id).to_vec());
             self.store.apply(batch)?;
-            self.publish(|state| {
-                state.data_present.remove(&id);
-            });
+            self.publish(|state| state.set_data_present(id, false));
             self.metrics.removals.fetch_add(1, Ordering::Relaxed);
         }
         Ok(had)
@@ -915,8 +974,9 @@ impl Pass {
             ))));
         }
         let _commit = self.sharding.lock_one(self.sharding.shard_of(record.id));
-        let current = self.state.read().clone();
-        if let Some(existing) = current.records.get(&record.id) {
+        // Borrow through the read guard (see `annotate`).
+        let current = self.state.read();
+        if let Some(existing) = current.record(record.id) {
             if existing.content_digest != record.content_digest {
                 return Err(PassError::IdentityCollision(record.id));
             }
@@ -929,24 +989,13 @@ impl Pass {
             if fresh.is_empty() {
                 return Ok((false, 0));
             }
-            let encoded = {
-                let mut rec = existing.clone();
-                rec.annotations.extend(fresh.iter().cloned());
-                rec.encode_to_vec()
-            };
+            let mut merged = ProvenanceRecord::clone(existing);
             drop(current);
+            merged.annotations.extend(fresh.iter().cloned());
+            let encoded = merged.encode_to_vec();
             self.store.put(&keyspace::key(keyspace::RECORD, record.id), &encoded)?;
-            self.publish(|state| {
-                // Presence was checked above under the shard lock; a miss
-                // here means divergence — skip instead of panicking while
-                // holding the publish write lock.
-                let Some(idx) = state.graph.lookup(record.id) else { return };
-                let Some(rec) = state.records.get_mut(&record.id) else { return };
-                rec.annotations.extend(fresh.iter().cloned());
-                for a in &fresh {
-                    state.keywords.insert(idx, &a.text);
-                }
-            });
+            let texts: Vec<&str> = fresh.iter().map(|a| a.text.as_str()).collect();
+            self.publish(|state| state.replace_record(merged, &texts));
             self.metrics.annotations.fetch_add(fresh.len() as u64, Ordering::Relaxed);
             return Ok((false, fresh.len()));
         }
@@ -954,11 +1003,10 @@ impl Pass {
         // readings live elsewhere (or were removed; PASS property 4).
         drop(current);
         self.store.put(&keyspace::key(keyspace::RECORD, record.id), &record.encode_to_vec())?;
+        let delta = IndexDelta::prepare(vec![Arc::new(record.clone())]);
         let order = self.publish_order.lock();
-        let (_, version) = self.publish(|state| {
-            state.index_record(record);
-        });
-        self.hub.broadcast(version, || vec![record.clone()]);
+        let (records, version) = self.publish(|state| state.apply_delta(delta, false));
+        self.hub.broadcast(version, || records);
         drop(order);
         self.metrics.ingests.fetch_add(1, Ordering::Relaxed);
         Ok((true, 0))
@@ -978,11 +1026,11 @@ impl Pass {
         let _commit = self.sharding.lock_one(self.sharding.shard_of(record.id));
         {
             let state = self.state.read();
-            let existing = state.records.get(&record.id).ok_or(PassError::NotFound(record.id))?;
+            let existing = state.record(record.id).ok_or(PassError::NotFound(record.id))?;
             if existing.content_digest != record.content_digest {
                 return Err(PassError::IdentityCollision(record.id));
             }
-            if state.data_present.contains(&record.id) {
+            if state.readings_present(record.id) {
                 return Ok(false);
             }
         }
@@ -998,9 +1046,7 @@ impl Pass {
         batch.put(keyspace::key(keyspace::DATA, record.id).to_vec(), data_buf);
         batch.put(keyspace::key(keyspace::MARKER, record.id).to_vec(), vec![1u8]);
         self.store.apply(batch)?;
-        self.publish(|state| {
-            state.data_present.insert(record.id);
-        });
+        self.publish(|state| state.set_data_present(record.id, true));
         Ok(true)
     }
 
@@ -1010,17 +1056,16 @@ impl Pass {
     pub fn export_archive(&self) -> Result<ArchiveExport> {
         let snapshot = self.snapshot();
         let mut out = ArchiveExport::default();
-        for record in snapshot.state.records.values() {
-            let readings = if snapshot.state.data_present.contains(&record.id) {
+        for (_, record) in snapshot.state.records() {
+            let readings = if snapshot.state.readings_present(record.id) {
                 self.get_data(record.id)?
             } else {
                 None
             };
+            let record = ProvenanceRecord::clone(record);
             match readings {
-                Some(readings) => {
-                    out.tuple_sets.push(TupleSet::new_unchecked(record.clone(), readings))
-                }
-                None => out.records_only.push(record.clone()),
+                Some(readings) => out.tuple_sets.push(TupleSet::new_unchecked(record, readings)),
+                None => out.records_only.push(record),
             }
         }
         out.tuple_sets.sort_by_key(|t| t.provenance.id);
@@ -1225,8 +1270,8 @@ impl Pass {
     pub fn stats(&self) -> PassStats {
         let state = self.state.read().clone();
         PassStats {
-            records: state.records.len(),
-            data_blobs: state.data_present.len(),
+            records: state.record_count,
+            data_blobs: state.data_count,
             graph_nodes: state.graph.node_count(),
             graph_edges: state.graph.edge_count(),
             attr_entries: state.attrs.len(),
@@ -1275,10 +1320,8 @@ impl Pass {
         let victims: Vec<(TupleSetId, Vec<Reading>)> = {
             let snapshot = self.snapshot();
             let mut cold = Vec::new();
-            for record in snapshot.state.records.values() {
-                if record.created_at < older_than
-                    && snapshot.state.data_present.contains(&record.id)
-                {
+            for (_, record) in snapshot.state.records() {
+                if record.created_at < older_than && snapshot.state.readings_present(record.id) {
                     if let Some(readings) = snapshot.get_data(record.id)? {
                         cold.push((record.id, readings));
                     }
@@ -1396,8 +1439,8 @@ struct SnapshotCounters {
 /// and any caller — gets repeatable reads: every lookup answers from the
 /// same index state no matter how much ingest has happened since, and
 /// cursors opened on a snapshot stay valid under concurrent ingest.
-/// Dropping the snapshot releases the state; the next write then mutates
-/// in place again.
+/// While it lives, commits share with it every part of the state they do
+/// not write; dropping it lets the next write mutate in place again.
 ///
 /// The snapshot carries the full read surface of [`Pass`] — record
 /// retrieval, data reads, queries, statistics — so read-only callers
@@ -1427,7 +1470,7 @@ impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
             .field("version", &self.version)
-            .field("records", &self.state.records.len())
+            .field("records", &self.state.record_count)
             .finish()
     }
 }
@@ -1441,22 +1484,22 @@ impl Snapshot {
 
     /// Number of records visible.
     pub fn len(&self) -> usize {
-        self.state.records.len()
+        self.state.record_count
     }
 
     /// True when no records are visible.
     pub fn is_empty(&self) -> bool {
-        self.state.records.is_empty()
+        self.state.record_count == 0
     }
 
     /// True when the record is visible in this snapshot.
     pub fn contains(&self, id: TupleSetId) -> bool {
-        self.state.records.contains_key(&id)
+        self.state.record(id).is_some()
     }
 
     /// The provenance record for `id`, if visible.
     pub fn get_record(&self, id: TupleSetId) -> Option<ProvenanceRecord> {
-        self.state.records.get(&id).cloned()
+        self.state.record(id).map(|r| ProvenanceRecord::clone(r))
     }
 
     /// The readings for `id`: `Ok(None)` when the data was removed (the
@@ -1472,7 +1515,7 @@ impl Snapshot {
 
     /// True when the readings were present at snapshot time.
     pub fn has_data(&self, id: TupleSetId) -> bool {
-        self.state.data_present.contains(&id)
+        self.state.readings_present(id)
     }
 
     /// Record + readings together, when both exist — the snapshot twin
@@ -1512,14 +1555,14 @@ impl Snapshot {
         let posting = self.lineage_posting(&clause).ok_or(PassError::NotFound(id))?;
         Ok(posting
             .iter()
-            .filter_map(|idx| self.state.graph.resolve(idx))
-            .filter_map(|rid| self.state.records.get(&rid).cloned())
+            .filter_map(|idx| self.state.record_at(idx))
+            .map(|r| ProvenanceRecord::clone(r))
             .collect())
     }
 
     /// All record ids visible in this snapshot (unordered).
     pub fn ids(&self) -> Vec<TupleSetId> {
-        self.state.records.keys().copied().collect()
+        self.state.records().map(|(_, r)| r.id).collect()
     }
 
     /// Store statistics as of this snapshot. Index sizes reflect the
@@ -1528,8 +1571,8 @@ impl Snapshot {
     pub fn stats(&self) -> PassStats {
         let state = &self.state;
         PassStats {
-            records: state.records.len(),
-            data_blobs: state.data_present.len(),
+            records: state.record_count,
+            data_blobs: state.data_count,
             graph_nodes: state.graph.node_count(),
             graph_edges: state.graph.edge_count(),
             attr_entries: state.attrs.len(),
@@ -1619,9 +1662,7 @@ impl Provider for Snapshot {
     }
 
     fn all_nodes(&self) -> PostingList {
-        PostingList::from_iter(
-            self.state.records.keys().filter_map(|id| self.state.graph.lookup(*id)),
-        )
+        PostingList::from_sorted(self.state.records().map(|(idx, _)| idx).collect())
     }
 
     fn lineage(&self, clause: &LineageClause) -> Option<PostingList> {
@@ -1633,13 +1674,11 @@ impl Provider for Snapshot {
     }
 
     fn fetch(&self, idx: NodeIdx) -> Option<ProvenanceRecord> {
-        let id = self.state.graph.resolve(idx)?;
-        self.state.records.get(&id).cloned()
+        self.state.record_at(idx).map(|r| ProvenanceRecord::clone(r))
     }
 
     fn created_key(&self, idx: NodeIdx) -> Option<(Timestamp, TupleSetId)> {
-        let id = self.state.graph.resolve(idx)?;
-        self.state.records.get(&id).map(|r| (r.created_at, id))
+        self.state.record_at(idx).map(|r| (r.created_at, r.id))
     }
 
     fn created_scan(&self, desc: bool) -> Option<std::sync::Arc<[NodeIdx]>> {

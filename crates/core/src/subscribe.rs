@@ -118,8 +118,9 @@ impl Event {
 pub(crate) struct Changelog {
     /// The commit version the records were published under.
     pub(crate) version: u64,
-    /// The records the commit added, in batch order.
-    pub(crate) records: Vec<ProvenanceRecord>,
+    /// The records the commit added, in batch order — the same
+    /// allocations the published index state holds.
+    pub(crate) records: Vec<Arc<ProvenanceRecord>>,
 }
 
 struct ChannelState {
@@ -212,7 +213,11 @@ impl Hub {
     /// Delivers one commit's changelog to every live subscriber.
     /// `records` is only invoked — and the changelog only built — when a
     /// subscriber exists; with none this is one atomic load.
-    pub(crate) fn broadcast(&self, version: u64, records: impl FnOnce() -> Vec<ProvenanceRecord>) {
+    pub(crate) fn broadcast(
+        &self,
+        version: u64,
+        records: impl FnOnce() -> Vec<Arc<ProvenanceRecord>>,
+    ) {
         if self.live.load(Ordering::Relaxed) == 0 {
             return;
         }
@@ -473,7 +478,7 @@ impl Subscription {
                 None => true,
             };
             if in_scope && self.filter.matches(record) {
-                self.pending.push_back(record.clone());
+                self.pending.push_back(ProvenanceRecord::clone(record));
             }
         }
     }
@@ -517,7 +522,10 @@ mod tests {
     fn channel_overflow_counts_dropped_records() {
         let channel = Channel::new(2);
         for v in 1..=4u64 {
-            channel.push(Arc::new(Changelog { version: v, records: vec![record(v as u8, &[])] }));
+            channel.push(Arc::new(Changelog {
+                version: v,
+                records: vec![Arc::new(record(v as u8, &[]))],
+            }));
         }
         let (lag, log) = channel.try_pull();
         assert_eq!(lag, 2, "two single-record commits were discarded");
@@ -546,7 +554,7 @@ mod tests {
         hub.register(&channel);
         assert_eq!(hub.subscriber_count(), 1);
         drop(channel);
-        hub.broadcast(1, || vec![record(1, &[])]);
+        hub.broadcast(1, || vec![Arc::new(record(1, &[]))]);
         assert_eq!(hub.subscriber_count(), 0, "dead weak refs are swept on broadcast");
     }
 

@@ -3,18 +3,20 @@
 //! Posting lists and reachability bitsets want small dense integers, not
 //! 128-bit identity hashes. The arena maintains the bijection.
 
+use crate::chunkvec::ChunkVec;
+use crate::pmap::PMap;
 use pass_model::TupleSetId;
-use std::collections::HashMap;
 
 /// A dense index assigned to a [`TupleSetId`]; valid only within the arena
 /// that issued it.
 pub type NodeIdx = u32;
 
-/// Bijective map between tuple-set identities and dense indexes.
+/// Bijective map between tuple-set identities and dense indexes. Both
+/// directions are persistent containers, so a clone shares them.
 #[derive(Debug, Default, Clone)]
 pub struct IdArena {
-    to_idx: HashMap<TupleSetId, NodeIdx>,
-    to_id: Vec<TupleSetId>,
+    to_idx: PMap<TupleSetId, NodeIdx>,
+    to_id: ChunkVec<TupleSetId>,
 }
 
 impl IdArena {

@@ -5,16 +5,18 @@
 //! hierarchical namespaces).
 
 use crate::arena::NodeIdx;
-use crate::posting::PostingList;
+use crate::pmap::PMap;
+use crate::posting::{PostingList, Postings};
 use pass_model::{Attributes, Value};
-use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
 /// An inverted index from `(attribute, value)` to posting lists, with
 /// ordered values per attribute so range predicates are index-served.
+/// Maps and postings are persistent containers: a clone shares them, and
+/// an insert copies only the paths it touches.
 #[derive(Debug, Default, Clone)]
 pub struct AttrIndex {
-    by_attr: HashMap<String, BTreeMap<Value, PostingList>>,
+    by_attr: PMap<String, PMap<Value, Postings>>,
     entries: u64,
 }
 
@@ -33,8 +35,7 @@ impl AttrIndex {
 
     /// Indexes a single `(attribute, value)` pair.
     pub fn insert(&mut self, idx: NodeIdx, name: &str, value: Value) {
-        self.by_attr.entry(name.to_owned()).or_default().entry(value).or_default().insert(idx);
-        self.entries += 1;
+        self.insert_bulk(vec![(idx, name.to_owned(), value)]);
     }
 
     /// Bulk-indexes `(node, attribute, value)` triples from a whole ingest
@@ -55,13 +56,22 @@ impl AttrIndex {
             while let Some((nidx, _, _)) = entries.next_if(|(_, n, v)| *n == name && *v == value) {
                 run.push(nidx);
             }
-            self.by_attr.entry(name).or_default().entry(value).or_default().extend_sorted(&run);
+            if !self.by_attr.contains_key(&name) {
+                self.by_attr.insert(name.clone(), PMap::new());
+            }
+            let Some(values) = self.by_attr.get_mut(&name) else { continue };
+            match values.get_mut(&value) {
+                Some(postings) => postings.extend_sorted(&run),
+                None => {
+                    values.insert(value, Postings::from_run(&run));
+                }
+            }
         }
     }
 
     /// Posting list for `attr = value` (empty when absent).
     pub fn eq(&self, name: &str, value: &Value) -> PostingList {
-        self.by_attr.get(name).and_then(|m| m.get(value)).cloned().unwrap_or_default()
+        self.by_attr.get(name).and_then(|m| m.get(value)).map(Postings::to_list).unwrap_or_default()
     }
 
     /// Posting list for `low <op> attr <op> high` with inclusive/exclusive
@@ -78,8 +88,7 @@ impl AttrIndex {
                 return PostingList::new();
             }
         }
-        let lists: Vec<&PostingList> = m.range((low, high)).map(|(_, pl)| pl).collect();
-        PostingList::union_all(lists)
+        PostingList::union_runs(m.range(low, high).flat_map(|(_, postings)| postings.chunks()))
     }
 
     /// Posting list of every node that *has* the attribute, any value.
@@ -87,18 +96,18 @@ impl AttrIndex {
         let Some(m) = self.by_attr.get(name) else {
             return PostingList::new();
         };
-        PostingList::union_all(m.values().collect())
+        PostingList::union_runs(m.values().flat_map(Postings::chunks))
     }
 
     /// Number of distinct values recorded for an attribute (selectivity
     /// statistics for the planner).
     pub fn distinct_values(&self, name: &str) -> usize {
-        self.by_attr.get(name).map_or(0, BTreeMap::len)
+        self.by_attr.get(name).map_or(0, PMap::len)
     }
 
     /// Total postings under an attribute (≈ how many records carry it).
     pub fn attr_cardinality(&self, name: &str) -> usize {
-        self.by_attr.get(name).map_or(0, |m| m.values().map(PostingList::len).sum())
+        self.by_attr.get(name).map_or(0, |m| m.values().map(Postings::len).sum())
     }
 
     /// Attribute names present in the index.

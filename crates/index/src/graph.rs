@@ -11,6 +11,7 @@
 //! property 4) and ancestors may live at other sites.
 
 use crate::arena::{IdArena, NodeIdx};
+use crate::chunkvec::ChunkVec;
 use pass_model::TupleSetId;
 
 /// One directed derivation edge (child → parent).
@@ -32,14 +33,15 @@ pub enum Direction {
     Descendants,
 }
 
-/// The in-memory ancestry DAG.
+/// The in-memory ancestry DAG. Its columns are [`ChunkVec`]s, so a clone
+/// shares them and an insert copies only the chunks it touches.
 #[derive(Debug, Default, Clone)]
 pub struct AncestryGraph {
     arena: IdArena,
-    parents: Vec<Vec<Edge>>,
-    children: Vec<Vec<Edge>>,
+    parents: ChunkVec<Vec<Edge>>,
+    children: ChunkVec<Vec<Edge>>,
     /// Nodes that exist only as referenced parents, never inserted.
-    placeholder: Vec<bool>,
+    placeholder: ChunkVec<bool>,
     edge_count: usize,
 }
 
@@ -56,8 +58,10 @@ impl AncestryGraph {
             self.children.push(Vec::new());
             self.placeholder.push(true);
         }
-        if !is_placeholder {
-            self.placeholder[idx as usize] = false;
+        if !is_placeholder && self.is_placeholder(idx) {
+            if let Some(flag) = self.placeholder.get_mut(idx as usize) {
+                *flag = false;
+            }
         }
         idx
     }
@@ -69,8 +73,12 @@ impl AncestryGraph {
         let idx = self.ensure_node(id, false);
         for &(parent_id, abstracted) in parents {
             let pidx = self.ensure_node(parent_id, true);
-            self.parents[idx as usize].push(Edge { node: pidx, abstracted });
-            self.children[pidx as usize].push(Edge { node: idx, abstracted });
+            if let Some(edges) = self.parents.get_mut(idx as usize) {
+                edges.push(Edge { node: pidx, abstracted });
+            }
+            if let Some(edges) = self.children.get_mut(pidx as usize) {
+                edges.push(Edge { node: idx, abstracted });
+            }
             self.edge_count += 1;
         }
         idx
@@ -144,10 +152,6 @@ impl AncestryGraph {
     pub fn topo_order(&self) -> Result<Vec<NodeIdx>, crate::error::IndexError> {
         let n = self.node_count();
         let mut in_deg = vec![0u32; n];
-        for edges in &self.parents {
-            // Node has `edges.len()` parents; in-degree counts parents.
-            let _ = edges;
-        }
         for (child, edges) in self.parents.iter().enumerate() {
             in_deg[child] = edges.len() as u32;
         }
@@ -177,6 +181,8 @@ impl AncestryGraph {
         let edge = std::mem::size_of::<Edge>();
         self.parents.iter().map(|v| v.capacity() * edge).sum::<usize>()
             + self.children.iter().map(|v| v.capacity() * edge).sum::<usize>()
+            + self.parents.size_bytes()
+            + self.children.size_bytes()
             + self.node_count() * (16 + 8)
     }
 }

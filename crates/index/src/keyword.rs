@@ -5,8 +5,8 @@
 //! posting list.
 
 use crate::arena::NodeIdx;
-use crate::posting::PostingList;
-use std::collections::HashMap;
+use crate::pmap::PMap;
+use crate::posting::{PostingList, Postings};
 
 /// Splits text into lowercase alphanumeric tokens, dropping one-character
 /// tokens (noise at our scales).
@@ -14,10 +14,11 @@ pub fn tokenize(text: &str) -> impl Iterator<Item = String> + '_ {
     text.split(|c: char| !c.is_alphanumeric()).filter(|t| t.len() > 1).map(str::to_lowercase)
 }
 
-/// An inverted text index.
+/// An inverted text index over persistent containers (a clone shares
+/// them, as in [`crate::AttrIndex`]).
 #[derive(Debug, Default, Clone)]
 pub struct KeywordIndex {
-    postings: HashMap<String, PostingList>,
+    postings: PMap<String, Postings>,
     documents: u64,
 }
 
@@ -29,10 +30,7 @@ impl KeywordIndex {
 
     /// Indexes one document's text under a node.
     pub fn insert(&mut self, idx: NodeIdx, text: &str) {
-        for token in tokenize(text) {
-            self.postings.entry(token).or_default().insert(idx);
-        }
-        self.documents += 1;
+        self.insert_bulk([(idx, text)]);
     }
 
     /// Bulk-indexes many documents at once: tokenizes everything, sorts
@@ -53,13 +51,18 @@ impl KeywordIndex {
             while let Some((_, nidx)) = pairs.next_if(|(t, _)| *t == token) {
                 run.push(nidx);
             }
-            self.postings.entry(token).or_default().extend_sorted(&run);
+            match self.postings.get_mut(&token) {
+                Some(postings) => postings.extend_sorted(&run),
+                None => {
+                    self.postings.insert(token, Postings::from_run(&run));
+                }
+            }
         }
     }
 
     /// Nodes whose indexed text contains the token.
     pub fn lookup(&self, token: &str) -> PostingList {
-        self.postings.get(&token.to_lowercase()).cloned().unwrap_or_default()
+        self.postings.get(&token.to_lowercase()).map(Postings::to_list).unwrap_or_default()
     }
 
     /// Nodes containing *all* tokens of the phrase (bag-of-words AND; no

@@ -6,6 +6,7 @@
 //! `O(|rare| · log |common|)`.
 
 use crate::arena::NodeIdx;
+use crate::chunkvec::ChunkVec;
 
 /// A sorted, deduplicated list of dense node indexes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -151,9 +152,14 @@ impl PostingList {
     /// stays near-linear in the total postings where a pairwise fold
     /// costs O(lists × postings) (a range over 4 000 distinct values).
     pub fn union_all(lists: Vec<&PostingList>) -> PostingList {
-        let mut items = Vec::with_capacity(lists.iter().map(|l| l.len()).sum());
-        for l in lists {
-            items.extend_from_slice(&l.items);
+        PostingList::union_runs(lists.into_iter().map(PostingList::as_slice))
+    }
+
+    /// [`PostingList::union_all`] over sorted runs given as slices.
+    pub(crate) fn union_runs<'a>(runs: impl IntoIterator<Item = &'a [NodeIdx]>) -> PostingList {
+        let mut items = Vec::new();
+        for run in runs {
+            items.extend_from_slice(run);
         }
         items.sort();
         items.dedup();
@@ -214,6 +220,91 @@ impl PostingList {
     /// Heap bytes used.
     pub fn size_bytes(&self) -> usize {
         self.items.capacity() * std::mem::size_of::<NodeIdx>()
+    }
+}
+
+/// The posting storage inside [`crate::AttrIndex`] and
+/// [`crate::KeywordIndex`]: the same sorted, deduplicated node list as a
+/// [`PostingList`]. A list of one node (a unique value: an id, a sequence
+/// number, a creation time) is held inline. Longer lists live in a
+/// [`ChunkVec`], so that a commit appending to a list every record joins
+/// (`origin.site`, a common `domain`) copies one chunk path, not the
+/// list. Lookups materialize a fresh [`PostingList`].
+#[derive(Debug, Clone)]
+pub(crate) enum Postings {
+    One(NodeIdx),
+    Many(ChunkVec<NodeIdx>),
+}
+
+impl Postings {
+    /// The postings of a sorted, non-empty (possibly duplicated) run.
+    pub(crate) fn from_run(run: &[NodeIdx]) -> Postings {
+        match run {
+            [first, rest @ ..] if rest.iter().all(|idx| idx == first) => Postings::One(*first),
+            _ => {
+                let mut many = Postings::Many(ChunkVec::new());
+                many.extend_sorted(run);
+                many
+            }
+        }
+    }
+
+    /// Merges a sorted (possibly duplicated) run, as
+    /// [`PostingList::extend_sorted`]. A run past the tail (node indexes
+    /// grow with ingest) appends in O(run). Otherwise the list is rebuilt
+    /// in O(list): that takes a placeholder ancestor whose record arrives
+    /// after later nodes were indexed under the same key.
+    pub(crate) fn extend_sorted(&mut self, run: &[NodeIdx]) {
+        let Some(&first) = run.first() else { return };
+        if let Postings::One(only) = *self {
+            *self = Postings::Many(std::iter::once(only).collect());
+        }
+        let Postings::Many(items) = self else { return };
+        if items.last().is_none_or(|&last| last < first) {
+            for &idx in run {
+                if items.last() != Some(&idx) {
+                    items.push(idx);
+                }
+            }
+            return;
+        }
+        let mut list = self.to_list();
+        list.extend_sorted(run);
+        *self = Postings::Many(list.iter().collect());
+    }
+
+    /// The postings as sorted chunks.
+    pub(crate) fn chunks(&self) -> impl Iterator<Item = &[NodeIdx]> + '_ {
+        let (one, many) = match self {
+            Postings::One(idx) => (Some(std::slice::from_ref(idx)), None),
+            Postings::Many(items) => (None, Some(items.chunks())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
+
+    /// A contiguous copy.
+    pub(crate) fn to_list(&self) -> PostingList {
+        let mut items = Vec::with_capacity(self.len());
+        for chunk in self.chunks() {
+            items.extend_from_slice(chunk);
+        }
+        PostingList { items }
+    }
+
+    /// Number of postings.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Postings::One(_) => 1,
+            Postings::Many(items) => items.len(),
+        }
+    }
+
+    /// Heap bytes used (approximate).
+    pub(crate) fn size_bytes(&self) -> usize {
+        match self {
+            Postings::One(_) => 0,
+            Postings::Many(items) => items.size_bytes(),
+        }
     }
 }
 
